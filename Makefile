@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-kernels bench-serve bench-serve-smoke bench-mem bench-mem-smoke fuzz soak
+.PHONY: check fmt vet build test race bench bench-kernels bench-scan bench-serve bench-serve-smoke bench-mem bench-mem-smoke fuzz soak
 
 check: fmt vet build test
 
@@ -46,6 +46,14 @@ bench:
 # solver), 5 repetitions for benchstat-grade numbers.
 bench-kernels:
 	$(GO) test -run=^$$ -bench='^(BenchmarkKMeans|BenchmarkSolveEps)$$' -benchmem -count=5 ./internal/cluster ./internal/geometry
+
+# Store-scan layer: the phase-two scans (core.LocalKNN/LocalRange) beside
+# their frozen references at 40, 2,000 and 50,000 rows x dim 32 -- the store
+# sizes of the perfbench lookup, ingest and scan workloads. BENCHTIME=1x is
+# CI's compile-and-run smoke.
+BENCHTIME ?= 1s
+bench-scan:
+	$(GO) test -run=^$$ -bench='^(BenchmarkLocalKNN|BenchmarkLocalRange)$$' -benchmem -benchtime=$(BENCHTIME) ./internal/core
 
 # Serving-runtime load benchmark: 64 TCP nodes, 8k mixed closed-loop
 # requests plus an open-loop latency-under-load sweep, writes
@@ -97,11 +105,12 @@ bench-mem-smoke:
 
 # Short fuzz sessions: the wavelet round-trip invariant, the routing core vs
 # the frozen pre-extraction sphere-search reference, the zone split/takeover
-# tiling invariants under random churn schedules, and the store_rec wire
+# tiling invariants under random churn schedules, the store_rec wire
 # round-trip (bounded-count decode: a corrupt length prefix must error, never
-# allocate).
+# allocate), and the phase-two store scans vs their frozen references.
 fuzz:
 	$(GO) test -fuzz=FuzzDecomposeReconstruct -fuzztime=30s ./internal/wavelet
 	$(GO) test -fuzz=FuzzSearchSphere -fuzztime=30s ./internal/can
 	$(GO) test -fuzz=FuzzZoneSplitTakeover -fuzztime=30s ./internal/can
 	$(GO) test -fuzz=FuzzStoreRecRoundTrip -fuzztime=30s ./internal/membership
+	$(GO) test -fuzz=FuzzLocalScans -fuzztime=30s ./internal/core

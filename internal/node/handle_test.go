@@ -2,6 +2,7 @@ package node
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -12,9 +13,10 @@ import (
 )
 
 // TestHandleRejectsWrongDimension sends node RPCs whose vectors have the
-// wrong length. Each must come back as an error instead of a handler panic
-// (which would take the whole process down), and the same node must then
-// still answer valid queries.
+// wrong length, or whose query or radius is not finite (NaN, ±Inf, a
+// negative radius). Each must come back as an error instead of a handler
+// panic (which would take the whole process down) or an answer in arbitrary
+// order, and the same node must then still answer valid queries.
 func TestHandleRejectsWrongDimension(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -64,6 +66,12 @@ func testHandleRejectsWrongDimension(t *testing.T, tuning Tuning) {
 		}
 		return v
 	}
+	inf := math.Inf(1)
+	withAt := func(n, i int, x float64) []float64 {
+		v := vecOf(n)
+		v[i] = x
+		return v
+	}
 
 	cli := transport.NewClient(tr, policy)
 	client := NewClient(tr, policy)
@@ -80,6 +88,19 @@ func testHandleRejectsWrongDimension(t *testing.T, tuning Tuning) {
 		{"can_search short key", methodCanSearch, encodeSearchReq(0, vecOf(keyDim-1), 10, false)},
 		{"can_search long key", methodCanSearch, encodeSearchReq(0, vecOf(keyDim+1), 10, false)},
 		{"can_search empty key", methodCanSearch, encodeSearchReq(0, nil, 10, false)},
+		{"fetch_knn NaN query", methodFetchKNN, encodeFetchKNNReq(withAt(dim, 2, math.NaN()), 5)},
+		{"fetch_knn +Inf query", methodFetchKNN, encodeFetchKNNReq(withAt(dim, 0, inf), 5)},
+		{"fetch_knn -Inf query", methodFetchKNN, encodeFetchKNNReq(withAt(dim, dim-1, -inf), 5)},
+		{"fetch_range NaN query", methodFetchRange, encodeFetchRangeReq(withAt(dim, 1, math.NaN()), 1)},
+		{"fetch_range +Inf query", methodFetchRange, encodeFetchRangeReq(withAt(dim, 0, inf), 1)},
+		{"fetch_range -Inf query", methodFetchRange, encodeFetchRangeReq(withAt(dim, 3, -inf), 1)},
+		{"fetch_range NaN eps", methodFetchRange, encodeFetchRangeReq(vecOf(dim), math.NaN())},
+		{"fetch_range +Inf eps", methodFetchRange, encodeFetchRangeReq(vecOf(dim), inf)},
+		{"fetch_range -Inf eps", methodFetchRange, encodeFetchRangeReq(vecOf(dim), -inf)},
+		{"fetch_range negative eps", methodFetchRange, encodeFetchRangeReq(vecOf(dim), -1)},
+		{"range NaN query", methodRange, encodeRangeReq(withAt(dim, 0, math.NaN()), 1, core.RangeOptions{})},
+		{"range NaN eps", methodRange, encodeRangeReq(vecOf(dim), math.NaN(), core.RangeOptions{})},
+		{"knn +Inf query", methodKNN, encodeKNNReq(withAt(dim, 0, inf), 3, core.KNNOptions{})},
 	} {
 		if _, err := cli.Call(ctx, addr, transport.Request{Method: bad.method, Body: bad.body}); err == nil {
 			t.Errorf("%s: malformed request answered without error", bad.name)

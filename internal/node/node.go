@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"hyperm/internal/can"
@@ -367,23 +368,40 @@ func (n *Node) Counters() map[string]float64 {
 // handlers and lookup workers.
 func (n *Node) count(name string) { n.counters.Add(name, 1) }
 
+// checkQuery rejects a query vector of the wrong dimension or with a NaN or
+// ±Inf coordinate, and a radius that is negative or not finite (kNN requests
+// pass 0). Every distance test downstream — core.LocalRange/LocalKNN
+// included — assumes finite input: a NaN coordinate makes every distance
+// NaN, and NaN distances have no order for a scan to answer in.
+func (n *Node) checkQuery(q []float64, eps float64) error {
+	if len(q) != n.cfg.Dim {
+		return fmt.Errorf("node: query dim %d, want %d", len(q), n.cfg.Dim)
+	}
+	for _, v := range q {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("node: non-finite query coordinate %v", v)
+		}
+	}
+	if eps < 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
+		return fmt.Errorf("node: query radius %v, want finite and >= 0", eps)
+	}
+	return nil
+}
+
 // RangeQuery answers a range query with this node as the querying peer,
 // driving the overlay lookups peer-to-peer. Byte-identical to the source
 // System's RangeQuery from the same state.
 func (n *Node) RangeQuery(ctx context.Context, q []float64, eps float64, opts core.RangeOptions) (core.RangeResult, error) {
-	if len(q) != n.cfg.Dim {
-		return core.RangeResult{}, fmt.Errorf("node: query dim %d, want %d", len(q), n.cfg.Dim)
-	}
-	if eps < 0 {
-		return core.RangeResult{}, fmt.Errorf("node: negative query radius")
+	if err := n.checkQuery(q, eps); err != nil {
+		return core.RangeResult{}, err
 	}
 	return n.engine.RangeQuery(n.peer, q, eps, opts)
 }
 
 // KNNQuery answers a k-nn query with this node as the querying peer.
 func (n *Node) KNNQuery(ctx context.Context, q []float64, k int, opts core.KNNOptions) (core.KNNResult, error) {
-	if len(q) != n.cfg.Dim {
-		return core.KNNResult{}, fmt.Errorf("node: query dim %d, want %d", len(q), n.cfg.Dim)
+	if err := n.checkQuery(q, 0); err != nil {
+		return core.KNNResult{}, err
 	}
 	if k < 1 {
 		return core.KNNResult{}, fmt.Errorf("node: k must be >= 1, got %d", k)
@@ -626,8 +644,8 @@ func (n *Node) handle(ctx context.Context, req transport.Request) (transport.Res
 		if err != nil {
 			return transport.Response{}, err
 		}
-		if len(q) != n.cfg.Dim {
-			return transport.Response{}, fmt.Errorf("node: query dim %d, want %d", len(q), n.cfg.Dim)
+		if err := n.checkQuery(q, eps); err != nil {
+			return transport.Response{}, err
 		}
 		n.mu.RLock()
 		ids := core.LocalRange(q, eps, n.store)
@@ -651,8 +669,8 @@ func (n *Node) handle(ctx context.Context, req transport.Request) (transport.Res
 		if err != nil {
 			return transport.Response{}, err
 		}
-		if len(q) != n.cfg.Dim {
-			return transport.Response{}, fmt.Errorf("node: query dim %d, want %d", len(q), n.cfg.Dim)
+		if err := n.checkQuery(q, 0); err != nil {
+			return transport.Response{}, err
 		}
 		n.mu.RLock()
 		items := core.LocalKNN(q, k, n.store)
